@@ -211,10 +211,9 @@ BENCHMARK(BM_DetectFull15sClipTraced)->Unit(benchmark::kMillisecond);
 /// One benchmarkable kernel invocation: writes its full output (reductions
 /// write one element) into `out` so the equality gate can compare tables.
 /// `presimd`, when set, is the pre-SIMD implementation this PR replaced
-/// (sequential single-accumulator reductions; per-candidate euclidean()
-/// including its sqrt for LOF distances) — the honest "before" of the
+/// (sequential single-accumulator reductions) — the honest "before" of the
 /// before/after numbers. It is timed but excluded from the bit-equality
-/// gate: its summation order (and the sqrt) intentionally differ.
+/// gate: its summation order intentionally differs.
 struct SimdWorkload {
   const char* name;
   std::size_t out_len;
@@ -227,9 +226,6 @@ struct SimdData {
   std::vector<double> sig_b;
   std::vector<double> taps;
   std::vector<double> rgb;
-  std::vector<double> soa[4];
-  std::vector<double> aos;  // same points as soa, AoS layout for presimd
-  double q[4];
   image::Image frame{64, 64};
   // Fractional nasal-ROI-sized region: exercises boundary columns plus a
   // ~52-pixel dispatched interior run per row.
@@ -237,13 +233,11 @@ struct SimdData {
 
   SimdData() {
     // Sizes chosen from the hot path: ~1k pixels is one nasal-ROI scan,
-    // 4096 samples is hundreds of seconds of 25 Hz luminance signal, 1024
-    // points is a large per-user LOF training set. The pixel/point sets are
-    // deliberately L1-resident — per-frame work touches them while hot, so
-    // timing them through L2 would understate the kernels.
+    // 4096 samples is hundreds of seconds of 25 Hz luminance signal. The
+    // pixel set is deliberately L1-resident — per-frame work touches it
+    // while hot, so timing it through L2 would understate the kernels.
     const std::size_t n = 4096;
     const std::size_t npix = 1024;
-    const std::size_t npts = 1024;
     std::uint64_t s = 0x2545f4914f6cdd1dull;
     auto next = [&s] {
       s ^= s << 13;
@@ -266,15 +260,6 @@ struct SimdData {
         frame(x, y) = {255.0 * next(), 255.0 * next(), 255.0 * next()};
       }
     }
-    for (auto& axis : soa) {
-      axis.resize(npts);
-      for (double& v : axis) v = next();
-    }
-    aos.resize(npts * 4);
-    for (std::size_t i = 0; i < npts; ++i) {
-      for (std::size_t a = 0; a < 4; ++a) aos[4 * i + a] = soa[a][i];
-    }
-    for (double& v : q) v = next();
   }
 };
 
@@ -339,16 +324,6 @@ std::vector<SimdWorkload> simd_workloads() {
        },
        [&d](double* out) {
          out[0] = lumichat::bench::presimd_roi_luminance(d.frame, d.roi);
-       }},
-      {"squared_dist4_batch", d.soa[0].size(),
-       [&d](const simd::Kernels& k, double* out) {
-         k.squared_dist4_batch(d.soa[0].data(), d.soa[1].data(),
-                               d.soa[2].data(), d.soa[3].data(),
-                               d.soa[0].size(), d.q, out);
-       },
-       [&d](double* out) {
-         lumichat::bench::presimd_euclidean_batch(d.aos.data(),
-                                                  d.soa[0].size(), d.q, out);
        }},
   };
 }

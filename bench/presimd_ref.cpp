@@ -70,17 +70,4 @@ double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
   return acc;
 }
 
-void presimd_euclidean_batch(const double* aos, std::size_t n,
-                             const double q[4], double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* p = aos + 4 * i;
-    double d2 = 0.0;
-    for (std::size_t a = 0; a < 4; ++a) {
-      const double d = p[a] - q[a];
-      d2 += d * d;
-    }
-    out[i] = std::sqrt(d2);
-  }
-}
-
 }  // namespace lumichat::bench

@@ -4,16 +4,13 @@
 // bench_perf's --simd-json mode can record the genuine before/after of the
 // dispatch layer. These are the loops the kernels in src/simd replaced:
 //
-//  * reductions (sum / pearson / ROI luminance) accumulated into single
-//    serial chains — latency-bound, with no instruction-level parallelism;
-//  * the KD-tree leaf scan called euclidean() — including its sqrt — for
-//    every candidate, one at a time, interleaved with heap maintenance.
+// reductions (sum / pearson / ROI luminance) accumulated into single serial
+// chains — latency-bound, with no instruction-level parallelism.
 //
 // The TU is compiled with -fno-tree-vectorize (see bench/CMakeLists.txt):
 // the original code was not auto-vectorizable (serial FP reductions cannot
-// be reordered; the distance loop was broken up by heap logic), so letting
-// the compiler vectorize these batched reproductions would overstate the
-// baseline.
+// be reordered), so letting the compiler vectorize these reproductions
+// would overstate the baseline.
 
 #include <cstddef>
 
@@ -39,11 +36,5 @@ void presimd_pearson(const double* x, const double* y, std::size_t n,
 /// the original roi_luminance inner loop body.
 double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
                              double lg, double lb);
-
-/// Per-candidate euclidean distance (including the sqrt) against an
-/// array-of-structs point set — the original KD-tree leaf scan's distance
-/// computation. `aos` holds n points of 4 contiguous doubles each.
-void presimd_euclidean_batch(const double* aos, std::size_t n,
-                             const double q[4], double* out);
 
 }  // namespace lumichat::bench

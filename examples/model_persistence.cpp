@@ -2,9 +2,9 @@
 // pool of legitimate clips), publish it through a ModelRegistry, persist the
 // versioned snapshot, and load it on any device — the "quickly launched on
 // new devices" story of the paper, made concrete. The on-disk format is
-// `lumichat-lof v2`: it carries the registry version id and the KD-tree
-// index parameters, so a device rebuilds exactly the model the vendor
-// published.
+// `lumichat-lof v3`: k, tau, the training vectors at full precision and the
+// registry version id, so a device refits exactly the model the vendor
+// published and can name the version it runs.
 //
 //   $ ./model_persistence /tmp/lumichat_model.txt
 #include <cstdio>
@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   core::Detector detector(profile.detector_config());
   detector.attach_model(snapshot);
   std::printf("[device] ready (v%llu, k=%zu tau=%.2f, %zu training "
-              "vectors, kd-tree leaf %zu)\n",
+              "vectors)\n",
               static_cast<unsigned long long>(snapshot->version()), state.k,
-              state.tau, state.training.size(), state.index_leaf_size);
+              state.tau, state.training.size());
 
   const auto legit_result =
       detector.detect(data.legit_trace(people[2], 300));
@@ -68,8 +68,9 @@ int main(int argc, char** argv) {
               attack_result.lof_score);
 
   // --- Fleet update: the vendor retrains on a bigger pool and publishes
-  // v2; a device that installs it hot-swaps with no session restart. ---
-  std::printf("\n[vendor] retraining on 32 clips, publishing v2...\n");
+  // model version 2; a device that installs it hot-swaps with no session
+  // restart. ---
+  std::printf("\n[vendor] retraining on 32 clips, publishing version 2...\n");
   const auto more = data.features(people[9], eval::Role::kLegitimate, 32);
   const auto updated =
       registry->publish(more, profile.detector.lof_neighbors, cal.tau);

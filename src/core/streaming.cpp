@@ -17,15 +17,12 @@ StreamingDetector::StreamingDetector(StreamingConfig config)
   r_buffer_.reserve(window_samples_);
 }
 
-void StreamingDetector::train_on_features(
-    const std::vector<FeatureVector>& features) {
-  detector_.attach_model(model::fit_lof_model(config_.detector, features));
-}
-
 void StreamingDetector::reset_window() {
   t_buffer_.clear();
   r_buffer_.clear();
   real_r_samples_ = 0;
+  last_r_value_ = 0.0;
+  have_r_value_ = false;
 }
 
 FlushReport StreamingDetector::flush() {
@@ -44,8 +41,6 @@ void StreamingDetector::reset() {
   reset_window();
   window_verdicts_.clear();
   next_sample_at_ = 0.0;
-  last_r_value_ = 0.0;
-  have_r_value_ = false;
   stream_id_ = 0;
 }
 

@@ -1,5 +1,7 @@
 #include "model/snapshot.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -10,9 +12,32 @@ constexpr double kMinDensityDistance = 1e-9;  // duplicate-point guard
 
 }  // namespace
 
+void nearest_neighbors(const std::vector<core::FeatureVector>& points,
+                       const core::FeatureVector& q, std::size_t k,
+                       std::size_t exclude, std::vector<Neighbor>& out) {
+  out.clear();
+  out.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i == exclude) continue;
+    const core::FeatureVector& p = points[i];
+    const double d1 = q.z1 - p.z1;
+    const double d2 = q.z2 - p.z2;
+    const double d3 = q.z3 - p.z3;
+    const double d4 = q.z4 - p.z4;
+    out.emplace_back(((d1 * d1 + d2 * d2) + d3 * d3) + d4 * d4, i);
+  }
+  // (d², index) is a total order because indices are unique, so the k
+  // smallest pairs are one well-defined set.
+  const std::size_t m = std::min(k, out.size());
+  std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(m),
+                    out.end());
+  out.resize(m);
+  for (Neighbor& nb : out) nb.first = std::sqrt(nb.first);
+}
+
 std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
     std::vector<core::FeatureVector> training, std::size_t k, double tau,
-    std::uint64_t version, std::size_t index_leaf_size) {
+    std::uint64_t version) {
   if (k == 0) {
     throw std::invalid_argument("LofModelSnapshot::fit: k must be >= 1");
   }
@@ -27,40 +52,21 @@ std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
   snap->tau_ = tau;
   snap->training_ = std::move(training);
 
-  const std::size_t n = snap->training_.size();
-  std::vector<Point4> pts;
-  pts.reserve(n);
-  for (const core::FeatureVector& f : snap->training_) {
-    pts.push_back(f.as_array());
-  }
-  snap->index_ = KdTree4(std::move(pts), index_leaf_size);
-
-  // k-distance of every training point (distance to its k-th nearest other
-  // training point), then its LRD. The second pass needs every point's
-  // neighbour list again, so keep them as flat arrays rather than
-  // re-querying: n * k entries.
-  snap->k_distance_.assign(n, 0.0);
-  std::vector<double> neigh_dist(n * k, 0.0);
-  std::vector<std::uint32_t> neigh_idx(n * k, 0);
-  std::vector<std::size_t> neigh_count(n, 0);
+  // Every point's k nearest *other* training points (leave-one-out), then
+  // its k-distance. The LRDs need every point's k-distance first, so the
+  // neighbour lists are kept for the second pass.
+  const std::vector<core::FeatureVector>& pts = snap->training_;
+  const std::size_t n = pts.size();
+  std::vector<std::vector<Neighbor>> neigh(n);
   std::vector<Neighbor> scratch;
+  snap->k_distance_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    snap->index_.knn(snap->index_.point(i), k, i, scratch);
-    neigh_count[i] = scratch.size();
-    for (std::size_t j = 0; j < scratch.size(); ++j) {
-      neigh_dist[i * k + j] = scratch[j].first;
-      neigh_idx[i * k + j] = static_cast<std::uint32_t>(scratch[j].second);
-    }
-    snap->k_distance_[i] = scratch.empty() ? 0.0 : scratch.back().first;
+    nearest_neighbors(pts, pts[i], k, i, scratch);
+    neigh[i] = scratch;  // a k-sized copy, not the n-sized scratch buffer
+    snap->k_distance_[i] = neigh[i].back().first;  // n > k: never empty
   }
-  snap->lrd_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.clear();
-    for (std::size_t j = 0; j < neigh_count[i]; ++j) {
-      scratch.emplace_back(neigh_dist[i * k + j], neigh_idx[i * k + j]);
-    }
-    snap->lrd_[i] = snap->lrd_of(scratch);
-  }
+  snap->lrd_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) snap->lrd_[i] = snap->lrd_of(neigh[i]);
   return snap;
 }
 
@@ -86,13 +92,7 @@ double LofModelSnapshot::score_of(const std::vector<Neighbor>& neigh) const {
 
 double LofModelSnapshot::score(const core::FeatureVector& z) const {
   std::vector<Neighbor> neigh;
-  index_.knn(z.as_array(), k_, KdTree4::kNoExclusion, neigh);
-  return score_of(neigh);
-}
-
-double LofModelSnapshot::score_brute(const core::FeatureVector& z) const {
-  std::vector<Neighbor> neigh;
-  index_.knn_brute(z.as_array(), k_, KdTree4::kNoExclusion, neigh);
+  nearest_neighbors(training_, z, k_, kNoExclusion, neigh);
   return score_of(neigh);
 }
 

@@ -1,36 +1,48 @@
 // Immutable, versioned LOF model snapshot — the unit of model deployment.
 //
 // A snapshot is the fitted state of the paper's LOF classifier (Sec. VII-A,
-// Eqs. 7-8): the legitimate-population training vectors, their per-point
-// k-distances and local reachability densities, and a KD-tree index over the
-// 4-D feature space that answers the k-NN queries scoring needs. It is
-// created fully fitted by fit(), never mutated afterwards, and handed out
-// as std::shared_ptr<const LofModelSnapshot> — every session of the service
+// Eqs. 7-8): the legitimate-population training vectors and their per-point
+// k-distances and local reachability densities. It is created fully fitted
+// by fit(), never mutated afterwards, and handed out as
+// std::shared_ptr<const LofModelSnapshot> — every session of the service
 // shares one snapshot read-only instead of carrying its own copy of the
 // training set, and a registry (registry.hpp) can atomically hot-swap the
 // current version under live traffic because readers keep their handle
 // alive for as long as they need it.
 //
-// Scoring contract: score() (indexed) and score_brute() (linear scan) are
-// bit-identical by construction — both pull neighbours ordered by
-// (distance, index) from the same distance function and accumulate in the
-// same order. bench_lof_index gates this to <= 1e-12 on Fig. 11 inputs; the
-// unit tests pin exact equality.
+// k-NN is a brute-force scan over the training set. The paper trains on
+// 8-20 legitimate instances (Fig. 15), where a scan costs well under a
+// microsecond, so no index is kept. Neighbours are ordered by
+// (distance, index), which fixes both the tie-break and the order in which
+// LOF accumulates reach-distances and densities — and so the score's bits.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/features.hpp"
-#include "model/kdtree.hpp"
 
 namespace lumichat::model {
 
-/// Default KD-tree leaf size; persisted by the v2 model format so a
-/// reloaded model rebuilds the identical index.
-inline constexpr std::size_t kDefaultIndexLeafSize = 16;
+/// A (distance, training-point-index) neighbour. Ordered lexicographically,
+/// so equal distances resolve to the smaller training index.
+using Neighbor = std::pair<double, std::size_t>;
+
+/// `exclude` value of nearest_neighbors() that skips no point.
+inline constexpr std::size_t kNoExclusion = static_cast<std::size_t>(-1);
+
+/// The k points nearest to `q`, skipping index `exclude`, sorted ascending
+/// by (distance, index); fewer than k only when fewer points are eligible.
+/// Each distance is sqrt(((dz1² + dz2²) + dz3²) + dz4²), accumulated in that
+/// order, and candidates are selected on the pre-sqrt value (sqrt is
+/// monotone, so the selected set and its order are the same). `out` is
+/// cleared and reused.
+void nearest_neighbors(const std::vector<core::FeatureVector>& points,
+                       const core::FeatureVector& q, std::size_t k,
+                       std::size_t exclude, std::vector<Neighbor>& out);
 
 class LofModelSnapshot {
  public:
@@ -44,24 +56,16 @@ class LofModelSnapshot {
   /// \throws std::invalid_argument if k == 0 or fewer than k+1 vectors.
   [[nodiscard]] static std::shared_ptr<const LofModelSnapshot> fit(
       std::vector<core::FeatureVector> training, std::size_t k, double tau,
-      std::uint64_t version = 0,
-      std::size_t index_leaf_size = kDefaultIndexLeafSize);
+      std::uint64_t version = 0);
 
-  /// LOF score of a query point (Eq. 8), via the KD-tree index.
+  /// LOF score of a query point (Eq. 8).
   [[nodiscard]] double score(const core::FeatureVector& z) const;
-
-  /// Reference brute-force score — the pre-index code path, kept so tests
-  /// and benches can gate indexed == brute on the same snapshot.
-  [[nodiscard]] double score_brute(const core::FeatureVector& z) const;
 
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] double tau() const { return tau_; }
   [[nodiscard]] std::size_t size() const { return training_.size(); }
   [[nodiscard]] bool fitted() const { return !training_.empty(); }
-  [[nodiscard]] std::size_t index_leaf_size() const {
-    return index_.leaf_size();
-  }
 
   /// The shared training set (what Detector::training_data() views).
   [[nodiscard]] const std::vector<core::FeatureVector>& training() const {
@@ -76,8 +80,6 @@ class LofModelSnapshot {
   /// Local reachability density of training point i (Eq. 7).
   [[nodiscard]] double lrd(std::size_t i) const { return lrd_[i]; }
 
-  [[nodiscard]] const KdTree4& index() const { return index_; }
-
  private:
   LofModelSnapshot() = default;
 
@@ -91,14 +93,12 @@ class LofModelSnapshot {
   std::size_t k_ = 5;
   double tau_ = 3.0;
   std::vector<core::FeatureVector> training_;
-  KdTree4 index_;
   std::vector<double> k_distance_;  ///< per training point
   std::vector<double> lrd_;         ///< per training point
 };
 
 /// Convenience: fit an (unregistered) snapshot with a DetectorConfig's
-/// k/tau — the one-liner migrated call sites use in place of
-/// train_on_features().
+/// k/tau.
 [[nodiscard]] std::shared_ptr<const LofModelSnapshot> fit_lof_model(
     const core::DetectorConfig& config,
     std::vector<core::FeatureVector> training);

@@ -2,18 +2,18 @@
 //
 // Every per-frame stage of the defense — nasal-ROI luminance reduction over
 // raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation /
-// resampling, the Pearson trend statistics, and the 4-D LOF distance scans —
-// bottoms out in one of the kernels below. Each kernel has two
-// implementations (scalar and AVX2) selected once at startup (see
-// dispatch.hpp), and the two must agree BIT FOR BIT on every input.
+// resampling and the Pearson trend statistics — bottoms out in one of the
+// kernels below. Each kernel has two implementations (scalar and AVX2)
+// selected once at startup (see dispatch.hpp), and the two must agree BIT
+// FOR BIT on every input.
 //
 // Determinism contract (what makes bit-equality possible):
 //
 //  * Kernels that map independent outputs (convolve_same, correlate_same,
-//    resample_linear, delay_linear, squared_dist4_batch) perform, per
-//    output, exactly the same IEEE operation sequence in both paths; the
-//    AVX2 path merely computes 4 outputs per instruction. Their results are
-//    also bit-identical to the pre-SIMD per-sample loops they replaced.
+//    resample_linear, delay_linear) perform, per output, exactly the same
+//    IEEE operation sequence in both paths; the AVX2 path merely computes 4
+//    outputs per instruction. Their results are also bit-identical to the
+//    pre-SIMD per-sample loops they replaced.
 //
 //  * Reductions (sum, sum_sq_diff, pearson_accumulate, luminance_row_sum,
 //    rgb_channel_sums) use a canonical widen-then-reduce order: the main
@@ -97,14 +97,6 @@ struct Kernels {
   /// widen-12 order, written to out_rgb[0..2].
   void (*rgb_channel_sums)(const double* rgb, std::size_t npix,
                            double* out_rgb);
-
-  /// Batched 4-D squared Euclidean distances against structure-of-arrays
-  /// coordinates: out[i] = (((qx-xs[i])² + (qy-ys[i])²) + (qz-zs[i])²) +
-  /// (qw-ws[i])², the exact pre-sqrt accumulation order of
-  /// model::euclidean().
-  void (*squared_dist4_batch)(const double* xs, const double* ys,
-                              const double* zs, const double* ws,
-                              std::size_t n, const double q[4], double* out);
 
   /// Human-readable name of this table ("scalar" / "avx2").
   const char* name;

@@ -263,30 +263,6 @@ void rgb_channel_sums_avx2(const double* rgb, std::size_t npix,
   out_rgb[2] = b;
 }
 
-void squared_dist4_batch_avx2(const double* xs, const double* ys,
-                              const double* zs, const double* ws,
-                              std::size_t n, const double q[4], double* out) {
-  const std::size_t n4 = n - n % 4;
-  const __m256d qx = _mm256_set1_pd(q[0]);
-  const __m256d qy = _mm256_set1_pd(q[1]);
-  const __m256d qz = _mm256_set1_pd(q[2]);
-  const __m256d qw = _mm256_set1_pd(q[3]);
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d dx = _mm256_sub_pd(qx, _mm256_loadu_pd(xs + i));
-    __m256d acc = _mm256_mul_pd(dx, dx);
-    const __m256d dy = _mm256_sub_pd(qy, _mm256_loadu_pd(ys + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(dy, dy));
-    const __m256d dz = _mm256_sub_pd(qz, _mm256_loadu_pd(zs + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(dz, dz));
-    const __m256d dw = _mm256_sub_pd(qw, _mm256_loadu_pd(ws + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(dw, dw));
-    _mm256_storeu_pd(out + i, acc);
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    out[i] = detail::squared_dist4_one(xs, ys, zs, ws, i, q);
-  }
-}
-
 }  // namespace
 
 const Kernels* avx2_kernels() {
@@ -301,7 +277,6 @@ const Kernels* avx2_kernels() {
       delay_linear_avx2,
       luminance_row_sum_avx2,
       rgb_channel_sums_avx2,
-      squared_dist4_batch_avx2,
       "avx2",
   };
   return &table;

@@ -59,20 +59,4 @@ inline double luminance_one(const double* rgb, double luma_r, double luma_g,
   return (rgb[0] * luma_r + rgb[1] * luma_g) + rgb[2] * luma_b;
 }
 
-/// One candidate's 4-D squared distance in model::euclidean()'s pre-sqrt
-/// accumulation order.
-inline double squared_dist4_one(const double* xs, const double* ys,
-                                const double* zs, const double* ws,
-                                std::size_t i, const double q[4]) {
-  const double dx = q[0] - xs[i];
-  double acc = dx * dx;
-  const double dy = q[1] - ys[i];
-  acc += dy * dy;
-  const double dz = q[2] - zs[i];
-  acc += dz * dz;
-  const double dw = q[3] - ws[i];
-  acc += dw * dw;
-  return acc;
-}
-
 }  // namespace lumichat::simd::detail

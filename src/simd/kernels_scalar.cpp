@@ -170,15 +170,6 @@ void rgb_channel_sums_scalar(const double* rgb, std::size_t npix,
   out_rgb[2] = b;
 }
 
-void squared_dist4_batch_scalar(const double* xs, const double* ys,
-                                const double* zs, const double* ws,
-                                std::size_t n, const double q[4],
-                                double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = detail::squared_dist4_one(xs, ys, zs, ws, i, q);
-  }
-}
-
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -192,7 +183,6 @@ const Kernels& scalar_kernels() {
       delay_linear_scalar,
       luminance_row_sum_scalar,
       rgb_channel_sums_scalar,
-      squared_dist4_batch_scalar,
       "scalar",
   };
   return table;

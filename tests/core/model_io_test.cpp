@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/detector.hpp"
 
 namespace lumichat::core {
 namespace {
@@ -76,11 +77,13 @@ TEST(ModelIo, MissingFileThrows) {
 
 TEST(ModelIo, RebuiltDetectorScoresIdentically) {
   const ModelState state = sample_state();
-  Detector direct = make_detector_from_model(state);
+  Detector direct;
+  direct.attach_model(snapshot_from_model(state));
 
   std::stringstream ss;
   save_model(state, ss);
-  Detector reloaded = make_detector_from_model(load_model(ss));
+  Detector reloaded;
+  reloaded.attach_model(snapshot_from_model(load_model(ss)));
 
   common::Rng rng(9);
   for (int i = 0; i < 20; ++i) {
@@ -101,48 +104,47 @@ TEST(ModelIo, ModelStateOfCapturesConfig) {
   EXPECT_EQ(s.training.size(), 10u);
 }
 
-// A v1 file written before the index/version era (no `version`, no `index`
-// lines) must still load: version 0, default KD-tree leaf size.
-TEST(ModelIo, LoadsLegacyV1Fixture) {
-  std::stringstream v1(
-      "lumichat-lof v1\n"
+// Only v3 is read. v1 (no `version` line) and v2 (which added an index
+// section) headers are refused outright rather than half-parsed.
+TEST(ModelIo, RejectsLegacyV1AndV2Headers) {
+  const char* body =
       "k 3\n"
       "tau 2.5\n"
       "n 4\n"
       "z 0.9 0.8 0.7 0.2\n"
       "z 0.91 0.82 0.71 0.22\n"
       "z 0.88 0.79 0.69 0.19\n"
-      "z 0.92 0.81 0.72 0.21\n");
-  const ModelState state = load_model(v1);
-  EXPECT_EQ(state.k, 3u);
-  EXPECT_DOUBLE_EQ(state.tau, 2.5);
-  EXPECT_EQ(state.version, 0u);
-  EXPECT_EQ(state.index_leaf_size, model::kDefaultIndexLeafSize);
-  ASSERT_EQ(state.training.size(), 4u);
-  EXPECT_DOUBLE_EQ(state.training[0].z1, 0.9);
-  EXPECT_DOUBLE_EQ(state.training[3].z4, 0.21);
-  EXPECT_NO_THROW((void)snapshot_from_model(state));
+      "z 0.92 0.81 0.72 0.21\n";
+  for (const std::string header :
+       {"lumichat-lof v1\n", "lumichat-lof v2\nversion 4\n"}) {
+    std::stringstream legacy(header + body);
+    try {
+      (void)load_model(legacy);
+      ADD_FAILURE() << "accepted " << header;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-TEST(ModelIo, SaveWritesV2WithVersionAndIndex) {
+TEST(ModelIo, SaveWritesV3WithVersion) {
   ModelState state = sample_state(6);
   state.version = 12;
-  state.index_leaf_size = 4;
   std::stringstream ss;
   save_model(state, ss);
   const std::string text = ss.str();
-  EXPECT_EQ(text.rfind("lumichat-lof v2\n", 0), 0u);
-  EXPECT_NE(text.find("version 12\n"), std::string::npos);
-  EXPECT_NE(text.find("index kdtree 4\n"), std::string::npos);
+  EXPECT_EQ(text.rfind("lumichat-lof v3\nversion 12\nk 5\ntau ", 0), 0u);
+  EXPECT_EQ(text.find("index"), std::string::npos);
 
   const ModelState back = load_model(ss);
   EXPECT_EQ(back.version, 12u);
-  EXPECT_EQ(back.index_leaf_size, 4u);
   EXPECT_EQ(back.k, state.k);
   EXPECT_EQ(back.tau, state.tau);  // bit-exact: saved at precision 17
 }
 
-TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
+TEST(ModelIo, V3RoundTripRebuildsBitIdenticalSnapshot) {
   ModelState state = sample_state(24);
   state.version = 3;
   state.tau = 2.718281828459045;
@@ -155,7 +157,6 @@ TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
   EXPECT_EQ(reloaded->version(), direct->version());
   EXPECT_EQ(reloaded->k(), direct->k());
   EXPECT_EQ(reloaded->tau(), direct->tau());
-  EXPECT_EQ(reloaded->index_leaf_size(), direct->index_leaf_size());
   ASSERT_EQ(reloaded->size(), direct->size());
   common::Rng rng(17);
   for (int i = 0; i < 50; ++i) {
@@ -165,26 +166,12 @@ TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
   }
 }
 
-TEST(ModelIo, V2RejectsMissingVersionLine) {
+TEST(ModelIo, V3RejectsMissingVersionLine) {
   std::stringstream ss(
-      "lumichat-lof v2\n"
+      "lumichat-lof v3\n"
       "k 5\n"
       "tau 3\n");
   EXPECT_THROW((void)load_model(ss), std::runtime_error);
-}
-
-TEST(ModelIo, DeprecatedDetectorShimMatchesSnapshotPath) {
-  const ModelState state = sample_state(12);
-  Detector via_shim = make_detector_from_model(state);
-  Detector via_snapshot;
-  via_snapshot.attach_model(snapshot_from_model(state));
-  common::Rng rng(21);
-  for (int i = 0; i < 20; ++i) {
-    const FeatureVector probe{rng.uniform(), rng.uniform(),
-                              rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)};
-    EXPECT_EQ(via_shim.classify(probe).lof_score,
-              via_snapshot.classify(probe).lof_score);
-  }
 }
 
 }  // namespace

@@ -250,5 +250,46 @@ TEST(Streaming, MatchesBatchDetectorOnSimulatedSession) {
   EXPECT_NEAR(streamed->features.z3, batched.features.z3, 1e-9);
 }
 
+// A window's leading landmark misses are backfilled from that window's own
+// first hit, exactly as the batch extractor does for a clip — never held
+// from the previous window's last ROI value.
+TEST(Streaming, SecondWindowBackfillsLeadingMissesLikeBatch) {
+  eval::SimulationProfile profile;
+  eval::DatasetBuilder data(profile);
+  const auto pop = eval::make_population();
+  const auto train = data.features(pop[9], eval::Role::kLegitimate, 12);
+
+  StreamingConfig cfg;
+  cfg.detector = profile.detector_config();
+  cfg.window_s = profile.clip_duration_s;
+  StreamingDetector streaming(cfg);
+  streaming.attach_model(model::fit_lof_model(cfg.detector, train));
+  Detector batch(profile.detector_config());
+  batch.attach_model(model::fit_lof_model(batch.config(), train));
+
+  const chat::SessionTrace first = data.legit_trace(pop[0], 5);
+  chat::SessionTrace second = data.legit_trace(pop[0], 6);
+  for (std::size_t i = 0; i < 5; ++i) second.received.frames[i] = {};
+
+  std::vector<DetectionResult> windows;
+  double t = 0.0;
+  const auto feed = [&](const chat::SessionTrace& trace) {
+    for (std::size_t i = 0; i < trace.transmitted.size(); ++i) {
+      if (auto r = streaming.push(t, trace.transmitted.frames[i],
+                                  trace.received.frames[i])) {
+        windows.push_back(*r);
+      }
+      t += 1.0 / profile.sample_rate_hz;
+    }
+  };
+  feed(first);
+  feed(second);
+  ASSERT_EQ(windows.size(), 2u);
+  const DetectionResult batched = batch.detect(second);
+  EXPECT_EQ(windows[1].lof_score, batched.lof_score);
+  EXPECT_EQ(windows[1].features.z3, batched.features.z3);
+  EXPECT_EQ(windows[1].is_attacker, batched.is_attacker);
+}
+
 }  // namespace
 }  // namespace lumichat::core

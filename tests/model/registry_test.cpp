@@ -82,29 +82,10 @@ TEST(Registry, OldHandleSurvivesPublish) {
   EXPECT_NE(registry.current().get(), old_handle.get());
 }
 
-TEST(Registry, AbsorbAndRetrainFoldInLegitimateRounds) {
-  ModelRegistry registry;
-  EXPECT_EQ(registry.retrain(), nullptr);  // empty registry: no-op
-
-  registry.publish(cloud(10, 11), 5, 3.0);
-  EXPECT_EQ(registry.retrain(), nullptr);  // nothing absorbed: no-op
-  EXPECT_EQ(registry.version(), 1u);
-
-  const auto rounds = cloud(4, 12);
-  for (const auto& r : rounds) registry.absorb(r);
-  EXPECT_EQ(registry.absorbed(), 4u);
-
-  const auto retrained = registry.retrain();
-  ASSERT_NE(retrained, nullptr);
-  EXPECT_EQ(retrained->version(), 2u);
-  EXPECT_EQ(retrained->size(), 14u);  // base 10 + 4 absorbed
-  EXPECT_EQ(registry.absorbed(), 0u);  // buffer drained
-  EXPECT_EQ(registry.current().get(), retrained.get());
-}
-
 // The RCU contract: readers scoring against a handle they fetched before a
 // hot-swap keep getting bit-stable answers from that snapshot while writers
-// publish new versions underneath them. Run under TSan in CI.
+// publish (fit + swap) and install (swap only) new versions underneath
+// them. Run under TSan in CI.
 TEST(Registry, ReadersSurviveConcurrentHotSwap) {
   ModelRegistry registry;
   registry.publish(cloud(24, 20), 5, 3.0);
@@ -136,13 +117,20 @@ TEST(Registry, ReadersSurviveConcurrentHotSwap) {
     });
   }
 
-  std::thread writer([&registry, &stop] {
+  // Pre-fitted rollout candidates, so some swaps are bare pointer installs.
+  std::vector<std::shared_ptr<const LofModelSnapshot>> candidates;
+  for (std::size_t i = 0; i < 4; ++i) {
+    candidates.push_back(LofModelSnapshot::fit(cloud(24, 500 + i), 5, 3.0));
+  }
+
+  std::thread writer([&registry, &stop, &scores_done, &candidates] {
+    // Swap only once readers are scoring, so the race is really exercised.
+    while (scores_done.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
     for (std::size_t i = 0; i < 50; ++i) {
       registry.publish(cloud(24 + (i % 8), 400 + i), 5, 3.0);
-      if (i % 3 == 0) {
-        registry.absorb(cloud(1, 500 + i)[0]);
-        registry.retrain();
-      }
+      if (i % 3 == 0) registry.install(candidates[i % candidates.size()]);
     }
     stop.store(true, std::memory_order_relaxed);
   });
@@ -152,7 +140,8 @@ TEST(Registry, ReadersSurviveConcurrentHotSwap) {
 
   EXPECT_FALSE(mismatch.load());
   EXPECT_GT(scores_done.load(), 0u);
-  EXPECT_GE(registry.version(), 50u);
+  EXPECT_EQ(registry.version(), 51u);  // installs of version-0 fits keep it
+  EXPECT_EQ(registry.publish_count(), 1u + 50u + 17u);
   const auto final_snap = registry.current();
   ASSERT_NE(final_snap, nullptr);
   EXPECT_TRUE(final_snap->fitted());

@@ -208,31 +208,5 @@ TEST_F(KernelEquality, LuminanceRowSumAndChannelSums) {
   }
 }
 
-TEST_F(KernelEquality, SquaredDist4Batch) {
-  Rng rng(18);
-  for (std::size_t n : kLens) {
-    for (std::size_t off : kOffsets) {
-      const auto xs = random_buffer(rng, n, off);
-      const auto ys = random_buffer(rng, n, off);
-      const auto zs = random_buffer(rng, n, off);
-      const auto ws = random_buffer(rng, n, off);
-      const double q[4] = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
-                           rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
-      std::vector<double> os(n, 0.0);
-      std::vector<double> ov(n, 7.0);
-      scalar_.squared_dist4_batch(xs.data() + off, ys.data() + off,
-                                  zs.data() + off, ws.data() + off, n, q,
-                                  os.data());
-      avx2_->squared_dist4_batch(xs.data() + off, ys.data() + off,
-                                 zs.data() + off, ws.data() + off, n, q,
-                                 ov.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(bits(os[i]), bits(ov[i]))
-            << "n=" << n << " off=" << off << " i=" << i;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace lumichat::simd

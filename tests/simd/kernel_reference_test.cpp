@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "model/kdtree.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
@@ -76,31 +75,6 @@ TEST(KernelReference, DelayMatchesLegacySampleAtBitwise) {
                 bits(legacy_sample_at(x, static_cast<double>(i) - delay)))
           << "delay=" << delay << " i=" << i;
     }
-  }
-}
-
-TEST(KernelReference, SquaredDistPlusSqrtMatchesEuclideanBitwise) {
-  const Kernels& k = scalar_kernels();
-  const std::size_t n = 37;
-  std::vector<double> xs(n);
-  std::vector<double> ys(n);
-  std::vector<double> zs(n);
-  std::vector<double> ws(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    xs[i] = std::sin(0.3 * t);
-    ys[i] = std::cos(0.7 * t);
-    zs[i] = 0.1 * t;
-    ws[i] = std::sin(1.1 * t + 0.5);
-  }
-  const double q[4] = {0.2, -0.4, 1.7, 0.05};
-  std::vector<double> d2(n, 0.0);
-  k.squared_dist4_batch(xs.data(), ys.data(), zs.data(), ws.data(), n, q, d2.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const model::Point4 a = {q[0], q[1], q[2], q[3]};
-    const model::Point4 b = {xs[i], ys[i], zs[i], ws[i]};
-    ASSERT_EQ(bits(std::sqrt(d2[i])), bits(model::euclidean(a, b)))
-        << "i=" << i;
   }
 }
 

@@ -3,18 +3,16 @@
 // arena job, inline detector drain, arena recycle — must perform exactly
 // zero heap allocations and zero frees per frame.
 //
-// This file replaces global operator new/delete with counting versions, so
-// it gets its own test binary (linking it into the main suites would count
-// every other test's traffic too). The measured region covers intra-window
-// frames only: window *completion* runs the batch pipeline (preprocessing,
-// feature extraction, verdict history push) which allocates by design, and
-// happens once per window_s seconds, not per frame. The gate warms one full
-// window first so every buffer on the path (wire buffers, arena pool, ring
-// queue, drain batch, detector sample buffers) has reached its plateau.
-#include <atomic>
+// counting_alloc.cpp replaces global operator new/delete with counting
+// versions, so this gate gets its own test binary (linking it into the main
+// suites would count every other test's traffic too). The measured region
+// covers intra-window frames only: window *completion* runs the batch
+// pipeline (preprocessing, feature extraction, verdict history push) which
+// allocates by design, and happens once per window_s seconds, not per frame.
+// The gate warms one full window first so every buffer on the path (wire
+// buffers, arena pool, ring queue, drain batch, detector sample buffers) has
+// reached its plateau.
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include <sys/socket.h>
 
@@ -27,99 +25,16 @@
 #include "wire/server.hpp"
 
 #include "../service/service_test_util.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-std::atomic<bool> g_counting{false};
-
-void* counted_alloc(std::size_t size) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void counted_free(void* ptr) noexcept {
-  if (ptr == nullptr) return;
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_frees.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::free(ptr);
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* ptr = nullptr;
-  const std::size_t alignment = static_cast<std::size_t>(align);
-  if (::posix_memalign(&ptr, alignment < sizeof(void*) ? sizeof(void*)
-                                                       : alignment,
-                       size == 0 ? alignment : size) != 0) {
-    return nullptr;
-  }
-  return ptr;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) {
-  void* p = counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = counted_aligned_alloc(size, align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  void* p = counted_aligned_alloc(size, align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* ptr) noexcept { counted_free(ptr); }
-void operator delete[](void* ptr) noexcept { counted_free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { counted_free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { counted_free(ptr); }
-void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  counted_free(ptr);
-}
-void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  counted_free(ptr);
-}
-void operator delete(void* ptr, std::align_val_t) noexcept {
-  counted_free(ptr);
-}
-void operator delete[](void* ptr, std::align_val_t) noexcept {
-  counted_free(ptr);
-}
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
-  counted_free(ptr);
-}
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
-  counted_free(ptr);
-}
+#include "counting_alloc.hpp"
 
 namespace lumichat::wire {
 namespace {
 
 using service::testutil::test_streaming_config;
 using service::testutil::trained_registry;
+using testing_alloc::g_allocs;
+using testing_alloc::g_counting;
+using testing_alloc::g_frees;
 
 TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
   service::ServiceConfig service_cfg;
