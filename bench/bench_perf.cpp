@@ -226,6 +226,7 @@ struct SimdData {
   std::vector<double> sig_b;
   std::vector<double> taps;
   std::vector<double> rgb;
+  std::vector<std::uint8_t> payload;
   image::Image frame{64, 64};
   // Fractional nasal-ROI-sized region: exercises boundary columns plus a
   // ~52-pixel dispatched interior run per row.
@@ -259,6 +260,12 @@ struct SimdData {
       for (std::size_t x = 0; x < frame.width(); ++x) {
         frame(x, y) = {255.0 * next(), 255.0 * next(), 255.0 * next()};
       }
+    }
+    // One 96x72 Frame message payload (32-byte fixed prefix + two f64 RGB
+    // planes): the span the wire CRC-32 covers per frame, on each side.
+    payload.resize(32 + 2 * 96 * 72 * 3 * sizeof(double));
+    for (std::uint8_t& b : payload) {
+      b = static_cast<std::uint8_t>(256.0 * next());
     }
   }
 };
@@ -324,6 +331,17 @@ std::vector<SimdWorkload> simd_workloads() {
        },
        [&d](double* out) {
          out[0] = lumichat::bench::presimd_roi_luminance(d.frame, d.roi);
+       }},
+      // The CRC is exact integer arithmetic; its value is stored as a double
+      // (exactly representable) so the same equality gate covers it.
+      {"crc32_update", 1,
+       [&d](const simd::Kernels& k, double* out) {
+         out[0] = k.crc32_update(0xFFFFFFFFu, d.payload.data(),
+                                 d.payload.size());
+       },
+       [&d](double* out) {
+         out[0] = lumichat::bench::presimd_crc32_update(
+             0xFFFFFFFFu, d.payload.data(), d.payload.size());
        }},
   };
 }

@@ -409,11 +409,12 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
 }
 
 /// The bench-smoke telemetry gate, extending the traced-vs-untraced
-/// discipline to the PR-10 surfaces: the same wire-fed spec runs once dark
-/// (no registry, recorder, heartbeats or stats polling) and once fully lit
+/// discipline to the telemetry surfaces: the same wire-fed spec runs dark
+/// (no registry, recorder, heartbeats or stats polling) and fully lit
 /// (registry + armed flight recorder + per-block heartbeat pings + periodic
-/// in-band stats requests), and the per-session verdict sequences must be
-/// bit-identical. A third run with v1 clients proves the legacy interop
+/// in-band stats requests), alternating three times each, and every lit
+/// run's per-session verdict sequences must be bit-identical to the dark
+/// run's. A third run with v1 clients proves the legacy interop
 /// path yields the same substance. The captured stats snapshot and the
 /// auto-dumped flight JSONL must both parse and carry the expected series.
 int run_telemetry_selftest() {
@@ -447,11 +448,7 @@ int run_telemetry_selftest() {
     if (!ok) ++failures;
   };
 
-  // Reference run: telemetry dark.
-  const service::LoadReport dark = wire::run_socket_load(
-      load, service_cfg, streaming, models, wire::SocketLoadOptions{});
-
-  // Lit run: every PR-10 surface enabled at once on the same spec.
+  // Lit runs: every telemetry surface enabled at once on the same spec.
   obs::MetricsRegistry registry;
   obs::FlightRecorder recorder(service_cfg.n_shards, 256);
   const std::string dump_path = "bench_telemetry.flight.jsonl";
@@ -465,10 +462,34 @@ int run_telemetry_selftest() {
   lit.heartbeat_every = 1;
   lit.stats_every = 2;
   lit.last_stats_json = &stats_json;
-  const service::LoadReport bright = wire::run_socket_load(
-      load, service_cfg, streaming, models, lit, nullptr, &registry);
 
-  check(equivalent_verdicts(dark.sessions, bright.sessions),
+  // Dark (reference) and lit passes alternate, kRepeats each, so a burst of
+  // load from other processes slows both arms rather than one; the
+  // overhead gate below compares the fastest run of each arm.
+  constexpr int kRepeats = 3;
+  std::vector<service::LoadReport> dark_runs;
+  std::vector<service::LoadReport> lit_runs;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    dark_runs.push_back(wire::run_socket_load(
+        load, service_cfg, streaming, models, wire::SocketLoadOptions{}));
+    lit_runs.push_back(wire::run_socket_load(
+        load, service_cfg, streaming, models, lit, nullptr, &registry));
+  }
+  const service::LoadReport& dark = dark_runs.front();
+  const auto fastest = [](const std::vector<service::LoadReport>& runs) {
+    double best = runs.front().elapsed_s;
+    for (const service::LoadReport& r : runs) {
+      best = std::min(best, r.elapsed_s);
+    }
+    return best;
+  };
+
+  bool lit_identical = true;
+  for (const service::LoadReport& r : lit_runs) {
+    lit_identical =
+        lit_identical && equivalent_verdicts(dark.sessions, r.sessions);
+  }
+  check(lit_identical,
         "verdicts bit-identical with recorder + stats polling enabled");
 
   // Legacy clients: protocol v1 drops trace ids and cannot ask for stats,
@@ -530,10 +551,12 @@ int run_telemetry_selftest() {
     const double v = std::strtod(env, nullptr);
     if (v > 0.0) tol = v;
   }
-  const double overhead =
-      dark.elapsed_s > 0.0 ? bright.elapsed_s / dark.elapsed_s - 1.0 : 0.0;
-  std::printf("[overhead] dark %.3fs -> lit %.3fs (%+.2f%%, tolerance %.0f%%)\n",
-              dark.elapsed_s, bright.elapsed_s, 100.0 * overhead, 100.0 * tol);
+  const double dark_s = fastest(dark_runs);
+  const double lit_s = fastest(lit_runs);
+  const double overhead = dark_s > 0.0 ? lit_s / dark_s - 1.0 : 0.0;
+  std::printf("[overhead] fastest of %d: dark %.3fs -> lit %.3fs "
+              "(%+.2f%%, tolerance %.0f%%)\n",
+              kRepeats, dark_s, lit_s, 100.0 * overhead, 100.0 * tol);
   check(overhead <= tol, "telemetry overhead within tolerance");
 
   if (failures > 0) {

@@ -1,6 +1,7 @@
 #include "presimd_ref.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "image/luminance.hpp"
@@ -68,6 +69,32 @@ double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
     acc += lr * rgb[3 * i] + lg * rgb[3 * i + 1] + lb * rgb[3 * i + 2];
   }
   return acc;
+}
+
+namespace {
+
+consteval std::array<std::uint32_t, 256> make_crc32_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
+
+}  // namespace
+
+std::uint32_t presimd_crc32_update(std::uint32_t state,
+                                   const std::uint8_t* data, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    state = kCrc32Table[(state ^ data[i]) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
 }
 
 }  // namespace lumichat::bench

@@ -5,7 +5,8 @@
 // dispatch layer. These are the loops the kernels in src/simd replaced:
 //
 // reductions (sum / pearson / ROI luminance) accumulated into single serial
-// chains — latency-bound, with no instruction-level parallelism.
+// chains — latency-bound, with no instruction-level parallelism; the wire
+// CRC-32 folded one byte per table lookup.
 //
 // The TU is compiled with -fno-tree-vectorize (see bench/CMakeLists.txt):
 // the original code was not auto-vectorizable (serial FP reductions cannot
@@ -13,6 +14,7 @@
 // would overstate the baseline.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "image/image.hpp"
 
@@ -36,5 +38,10 @@ void presimd_pearson(const double* x, const double* y, std::size_t n,
 /// the original roi_luminance inner loop body.
 double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
                              double lg, double lb);
+
+/// The original wire crc32_update: one 256-entry table lookup per byte,
+/// each depending on the last (raw register in and out).
+std::uint32_t presimd_crc32_update(std::uint32_t state,
+                                   const std::uint8_t* data, std::size_t len);
 
 }  // namespace lumichat::bench

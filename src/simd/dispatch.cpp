@@ -12,7 +12,8 @@ const char* isa_name(Isa isa) {
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("pclmul") != 0;
 #else
   return false;
 #endif
@@ -48,7 +49,7 @@ Isa resolve_once() {
                  env, isa_name(resolve_isa(nullptr, usable)));
   } else if (env != nullptr && std::strcmp(env, "avx2") == 0 && !usable) {
     std::fprintf(stderr,
-                 "[simd] LUMICHAT_SIMD=avx2 requested but AVX2 is "
+                 "[simd] LUMICHAT_SIMD=avx2 requested but AVX2+PCLMUL is "
                  "unavailable (build=%d cpu=%d); using scalar\n",
                  build_has_avx2() ? 1 : 0, cpu_supports_avx2() ? 1 : 0);
   }

@@ -4,7 +4,8 @@
 // from two inputs:
 //
 //   * CPUID: the AVX2 table is only ever selected when the running CPU
-//     reports AVX2 support (and the build could compile it).
+//     reports both AVX2 and PCLMULQDQ (its CRC-32 kernel folds with
+//     carry-less multiplies), and the build could compile it.
 //   * LUMICHAT_SIMD=avx2|scalar — an override for testing and triage. The
 //     forced-scalar CI job runs the whole unit tier with
 //     LUMICHAT_SIMD=scalar so the fallback path stays exercised; forcing
@@ -23,8 +24,9 @@ enum class Isa { kScalar, kAvx2 };
 
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// True when the running CPU supports AVX2 (independent of whether this
-/// build could compile the AVX2 table).
+/// True when the running CPU can execute the AVX2 table: it reports both
+/// AVX2 and PCLMULQDQ (independent of whether this build could compile the
+/// table).
 [[nodiscard]] bool cpu_supports_avx2();
 
 /// True when the AVX2 table was compiled into this binary.
@@ -40,8 +42,8 @@ enum class Isa { kScalar, kAvx2 };
 [[nodiscard]] const Kernels& scalar_kernels();
 
 /// The AVX2 table, or nullptr when the build or the running CPU lacks
-/// AVX2. Tests pin both tables through this pair to property-check
-/// bit-equality without touching the environment.
+/// AVX2 or PCLMULQDQ. Tests pin both tables through this pair to
+/// property-check bit-equality without touching the environment.
 [[nodiscard]] const Kernels* avx2_kernels();
 
 /// The table selected at startup; all hot-path call sites go through this.

@@ -3,9 +3,9 @@
 // Every per-frame stage of the defense — nasal-ROI luminance reduction over
 // raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation /
 // resampling and the Pearson trend statistics — bottoms out in one of the
-// kernels below. Each kernel has two implementations (scalar and AVX2)
-// selected once at startup (see dispatch.hpp), and the two must agree BIT
-// FOR BIT on every input.
+// kernels below, as does the CRC-32 that seals every wire message. Each
+// kernel has two implementations (scalar and AVX2) selected once at startup
+// (see dispatch.hpp), and the two must agree BIT FOR BIT on every input.
 //
 // Determinism contract (what makes bit-equality possible):
 //
@@ -28,6 +28,12 @@
 //    -ffp-contract=off and the AVX2 path uses only mul/add intrinsics, so
 //    a*b+c rounds twice in both paths.
 //
+//  * crc32_update is integer arithmetic over GF(2), so both paths are exact
+//    by definition: the scalar table folds 8 bytes per step through
+//    slicing-by-8 tables, the AVX2 table folds 64 bytes per step with
+//    carry-less multiplies (PCLMULQDQ) and hands the < 16-byte tail to the
+//    scalar loop.
+//
 // tests/simd/ property-tests bit-equality per kernel over randomized
 // lengths (including sub-vector-width inputs and 1..7-lane tails) and
 // unaligned spans; bench_perf --simd-json re-checks equality before
@@ -35,6 +41,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace lumichat::simd {
 
@@ -97,6 +104,15 @@ struct Kernels {
   /// widen-12 order, written to out_rgb[0..2].
   void (*rgb_channel_sums)(const double* rgb, std::size_t npix,
                            double* out_rgb);
+
+  /// Folds `len` bytes into a running CRC-32 state (IEEE 802.3, reflected
+  /// polynomial 0xEDB88320). The state is the raw register: start chains
+  /// from 0xFFFFFFFF and XOR the final state with 0xFFFFFFFF to get the
+  /// checksum (wire/crc32.hpp wraps both). Chained calls over consecutive
+  /// spans equal one call over their concatenation. `data` needs no
+  /// alignment.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t len);
 
   /// Human-readable name of this table ("scalar" / "avx2").
   const char* name;

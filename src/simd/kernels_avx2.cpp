@@ -7,9 +7,11 @@
 // FMA — and the TU is compiled with -ffp-contract=off, so results are bit
 // for bit identical to kernels_scalar.cpp (property-gated in tests/simd/).
 //
-// This TU is compiled with -mavx2 and is only entered when dispatch.cpp
-// selected the AVX2 table, which requires runtime CPUID support.
+// crc32_update folds 64-byte blocks with carry-less multiplies, so this TU
+// is also compiled with -mpclmul. It is only entered when dispatch.cpp
+// selected the AVX2 table, which requires runtime CPUID support for both.
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -263,6 +265,76 @@ void rgb_channel_sums_avx2(const double* rgb, std::size_t npix,
   out_rgb[2] = b;
 }
 
+/// PCLMULQDQ CRC-32 over `len` bytes, len >= 64 and a multiple of 16: four
+/// 128-bit lanes fold 64 bytes per step, fold into one lane, take the
+/// remaining 16-byte blocks one by one, then reduce 128 -> 64 -> 32 bits
+/// with a final Barrett reduction. The constants are x^n mod P(x) for the
+/// reflected IEEE polynomial (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009); the
+/// layout follows Chromium zlib's crc32_sse42_simd_. `state` is the raw
+/// CRC register, in and out.
+std::uint32_t crc32_fold_pclmul(std::uint32_t state, const std::uint8_t* buf,
+                                std::size_t len) {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5k0 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const auto load = [](const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  // a.lo*k.lo ^ a.hi*k.hi ^ b: advances lane `a` past 128 (k1k2: 512)
+  // more bits and folds `b` in.
+  const auto fold = [](__m128i a, __m128i k, __m128i b) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         b);
+  };
+
+  __m128i x1 = _mm_xor_si128(load(buf),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load(buf + 16);
+  __m128i x3 = load(buf + 32);
+  __m128i x4 = load(buf + 48);
+  buf += 64;
+  len -= 64;
+  for (; len >= 64; buf += 64, len -= 64) {
+    x1 = fold(x1, k1k2, load(buf));
+    x2 = fold(x2, k1k2, load(buf + 16));
+    x3 = fold(x3, k1k2, load(buf + 32));
+    x4 = fold(x4, k1k2, load(buf + 48));
+  }
+
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; len >= 16; buf += 16, len -= 16) x1 = fold(x1, k3k4, load(buf));
+
+  // 128 -> 64 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5k0, 0x00),
+      _mm_srli_si128(x1, 4));
+
+  // Barrett reduction to 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+}
+
+std::uint32_t crc32_update_avx2(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t len) {
+  if (len >= 64) {
+    const std::size_t body = len & ~std::size_t{15};
+    state = crc32_fold_pclmul(state, data, body);
+    data += body;
+    len -= body;
+  }
+  return detail::crc32_update_scalar(state, data, len);
+}
+
 }  // namespace
 
 const Kernels* avx2_kernels() {
@@ -277,6 +349,7 @@ const Kernels* avx2_kernels() {
       delay_linear_avx2,
       luminance_row_sum_avx2,
       rgb_channel_sums_avx2,
+      crc32_update_avx2,
       "avx2",
   };
   return &table;

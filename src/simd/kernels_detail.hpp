@@ -10,8 +10,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace lumichat::simd::detail {
+
+/// The scalar table's slicing-by-8 CRC-32 (defined in kernels_scalar.cpp).
+/// The AVX2 table folds the body of a span with PCLMULQDQ and finishes its
+/// < 16-byte tail here. Deliberately out of line: kernels_avx2.cpp is
+/// built with -mavx2, and an inline copy it emitted could be the one the
+/// linker keeps for the scalar path too.
+std::uint32_t crc32_update_scalar(std::uint32_t state, const std::uint8_t* data,
+                                  std::size_t len);
 
 /// One clamped-convolution output: ascending-k accumulation of
 /// taps[k] * x[clamp(i + m/2 - k)]. Matches the pre-SIMD FirFilter loop.

@@ -5,13 +5,51 @@
 // scalar accumulators, so the AVX2 path can match them bit for bit. This is
 // also the portable fallback selected on CPUs without AVX2 (or with
 // LUMICHAT_SIMD=scalar).
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "simd/kernels.hpp"
 #include "simd/kernels_detail.hpp"
 
 namespace lumichat::simd {
 namespace {
+
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: row 0 is the
+/// classic byte-at-a-time table, and row k advances row k-1's entry by one
+/// more zero byte, so one lookup per row folds 8 input bytes at once.
+consteval Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
+/// Little-endian 32-bit load; memcpy keeps unaligned spans well-defined.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
 
 double sum_scalar(const double* x, std::size_t n) {
   const std::size_t n4 = n - n % 4;
@@ -172,6 +210,24 @@ void rgb_channel_sums_scalar(const double* rgb, std::size_t npix,
 
 }  // namespace
 
+std::uint32_t detail::crc32_update_scalar(std::uint32_t state,
+                                          const std::uint8_t* data,
+                                          std::size_t len) {
+  const Crc32Tables& t = kCrc32Tables;
+  for (; len >= 8; len -= 8, data += 8) {
+    const std::uint32_t lo = state ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+  }
+  for (; len > 0; --len, ++data) {
+    state = t[0][(state ^ *data) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
+}
+
 const Kernels& scalar_kernels() {
   static constexpr Kernels table = {
       sum_scalar,
@@ -183,6 +239,7 @@ const Kernels& scalar_kernels() {
       delay_linear_scalar,
       luminance_row_sum_scalar,
       rgb_channel_sums_scalar,
+      detail::crc32_update_scalar,
       "scalar",
   };
   return table;

@@ -2,58 +2,35 @@
 //
 // Every message carries a CRC over its header fields and payload so a
 // corrupted or desynchronised byte stream is rejected at the framing layer
-// instead of feeding garbage pixels into a detector. The table is built at
-// compile time; update() is the classic byte-at-a-time loop — fast enough
-// that the copy into the frame arena, not the checksum, dominates decode.
+// instead of feeding garbage pixels into a detector. A Frame message is
+// ~330 KB of f64 planes, and the checksum runs over all of it twice (client
+// seal, server decode), so it dominates the wire path's CPU unless it is
+// fast: the update step is the dispatched simd::Kernels::crc32_update
+// (PCLMULQDQ folding on the AVX2 table, slicing-by-8 on the scalar one).
+// Both tables compute the same function, so the bytes on the wire do not
+// depend on the machine.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
+#include "simd/dispatch.hpp"
+
 namespace lumichat::wire {
-
-namespace detail {
-
-consteval std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table =
-    make_crc32_table();
-
-}  // namespace detail
 
 /// Initial running value for crc32_update chains.
 inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFu;
 
 /// Folds `len` bytes into a running CRC state (start from kCrc32Init).
-[[nodiscard]] constexpr std::uint32_t crc32_update(std::uint32_t state,
-                                                   const std::uint8_t* data,
-                                                   std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    state = detail::kCrc32Table[(state ^ data[i]) & 0xFFu] ^ (state >> 8);
-  }
-  return state;
+[[nodiscard]] inline std::uint32_t crc32_update(std::uint32_t state,
+                                                const std::uint8_t* data,
+                                                std::size_t len) {
+  return simd::active().crc32_update(state, data, len);
 }
 
 /// Finalises a running state into the emitted checksum value.
 [[nodiscard]] constexpr std::uint32_t crc32_final(std::uint32_t state) {
   return state ^ 0xFFFFFFFFu;
-}
-
-/// One-shot CRC-32 of a byte range.
-[[nodiscard]] constexpr std::uint32_t crc32(const std::uint8_t* data,
-                                            std::size_t len) {
-  return crc32_final(crc32_update(kCrc32Init, data, len));
 }
 
 }  // namespace lumichat::wire

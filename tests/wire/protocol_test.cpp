@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "image/image.hpp"
+#include "simd/dispatch.hpp"
 #include "wire/crc32.hpp"
 #include "wire/protocol.hpp"
 
@@ -180,6 +181,56 @@ TEST(WireProtocol, FramePixelsRoundTripBitIdentical) {
   EXPECT_EQ(std::memcmp(rx2.pixels().data(), rx.pixels().data(),
                         rx.pixels().size() * sizeof(image::Pixel)),
             0);
+}
+
+/// A w x h image from a SplitMix64 stream: unlike common::Rng's std::
+/// distributions, the pixel bits do not depend on the standard library.
+image::Image seeded_image(std::size_t w, std::size_t h, std::uint64_t& s) {
+  const auto next = [&s] {
+    s += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = s;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return 255.0 * (static_cast<double>(z >> 11) * 0x1.0p-53);
+  };
+  image::Image img(w, h);
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t x = 0; x < w; ++x) {
+      const double r = next();
+      const double g = next();
+      const double b = next();
+      img.at(x, y) = image::Pixel{r, g, b};
+    }
+  }
+  return img;
+}
+
+TEST(WireProtocol, FrameCrcIsPinned) {
+  // The sealed CRC of one fixed 96x72 frame pair, as emitted by the
+  // byte-at-a-time table loop the dispatched kernels replaced: the bytes on
+  // the wire must not change with the checksum's implementation, under
+  // either kernel table.
+  constexpr std::uint32_t kPinnedCrc = 0x122B4009u;
+  std::uint64_t s = 9672;
+  const image::Image tx = seeded_image(96, 72, s);
+  const image::Image rx = seeded_image(96, 72, s);
+  std::vector<std::uint8_t> buf(frame_wire_size(96, 72));
+  ASSERT_EQ(encode_frame(buf.data(), buf.size(), 0x0123456789abcdefull, 7, 42,
+                         4200000, tx, rx, 0xfeedfacecafebeefull),
+            331832u);
+  std::uint32_t sealed = 0;
+  std::memcpy(&sealed, buf.data() + 20, sizeof(sealed));
+  EXPECT_EQ(sealed, kPinnedCrc);
+
+  std::vector<const simd::Kernels*> tables{&simd::scalar_kernels()};
+  if (const simd::Kernels* avx2 = simd::avx2_kernels()) tables.push_back(avx2);
+  for (const simd::Kernels* k : tables) {
+    const std::uint32_t crc = crc32_final(k->crc32_update(
+        k->crc32_update(kCrc32Init, buf.data(), 20), buf.data() + kHeaderSize,
+        buf.size() - kHeaderSize));
+    EXPECT_EQ(crc, kPinnedCrc) << k->name;
+  }
 }
 
 TEST(WireProtocol, EncodeRefusesUndersizedBuffer) {
